@@ -9,29 +9,74 @@
 //! are promises to callers outside this program, so weakening them is not
 //! locally justifiable.
 //!
-//! The probe re-checks run through a fingerprint-keyed [`CheckCache`]
-//! seeded from the original checked program, so each probe only re-derives
-//! the functions its deletion actually invalidates (the mutated function
-//! plus, for signature/field edits, its transitive dependents); every
-//! untouched function is a cache hit. The verdicts are identical to full
-//! re-checks — cache correctness rests on fingerprint soundness.
+//! A probe needs only a yes/no verdict, and the checker is
+//! signature-modular (§4.4): a function's verdict depends only on what
+//! its [`Fingerprint`] covers. So probes run through a fingerprint →
+//! verdict memo seeded with `true` for every function of the original
+//! program, and each probe only re-derives the functions its deletion
+//! actually invalidates (the mutated function plus, for signature/field
+//! edits, its transitive dependents); every untouched function is a hit.
+//! The verdicts are identical to full re-checks — memo correctness rests
+//! on fingerprint soundness.
 
-use fearless_core::{CheckCache, CheckedProgram};
-use fearless_syntax::{Severity, Span};
+use std::collections::HashMap;
+
+use fearless_core::{check, fn_fingerprint, CheckedProgram, CheckerOptions, Fingerprint, Globals};
+use fearless_syntax::{Program, Severity, Span};
 
 use crate::{AnalysisReport, Lint, LintCode};
 
+/// Per-function check verdicts keyed by fingerprint, with lookup counts.
+#[derive(Default)]
+struct VerdictMemo {
+    verdicts: HashMap<Fingerprint, bool>,
+    hits: u64,
+    misses: u64,
+}
+
+impl VerdictMemo {
+    /// A memo that already knows every function of `checked` checks.
+    fn seeded(checked: &CheckedProgram) -> VerdictMemo {
+        let mut memo = VerdictMemo::default();
+        // A Globals failure would mean the CheckedProgram is corrupt; the
+        // memo then starts empty (probes still work, just cold).
+        if let Ok(globals) = Globals::build(&checked.program, checked.options.mode) {
+            for f in &checked.program.funcs {
+                let fp = fn_fingerprint(&globals, &checked.options, f);
+                memo.verdicts.insert(fp, true);
+            }
+        }
+        memo
+    }
+
+    /// Whether `program` checks, with the same verdict as
+    /// [`fearless_core::check_program`]: functions are queried in
+    /// definition order and the first failure ends the query.
+    fn checks(&mut self, program: &Program, options: &CheckerOptions) -> bool {
+        let Ok(globals) = Globals::build(program, options.mode) else {
+            return false;
+        };
+        program.funcs.iter().all(|f| {
+            let fp = fn_fingerprint(&globals, options, f);
+            if let Some(&ok) = self.verdicts.get(&fp) {
+                self.hits += 1;
+                return ok;
+            }
+            self.misses += 1;
+            let ok = check::check_fn(&globals, options, f).is_ok();
+            self.verdicts.insert(fp, ok);
+            ok
+        })
+    }
+}
+
 pub(crate) fn run(checked: &CheckedProgram, report: &mut AnalysisReport) {
     let options = checked.options;
-    let mut cache = CheckCache::new();
-    // A seed failure would mean the CheckedProgram is corrupt; fall back
-    // to an unseeded cache (probes still work, just cold).
-    let _ = cache.seed(checked);
-    let still_checks =
-        |report: &mut AnalysisReport, cache: &mut CheckCache, p: &fearless_syntax::Program| {
-            report.stats.recheck_experiments += 1;
-            fearless_core::check_program_incremental(p, &options, cache).is_ok()
-        };
+    let mut memo = VerdictMemo::seeded(checked);
+    let still_checks = |report: &mut AnalysisReport, memo: &mut VerdictMemo, p: &Program| {
+        report.stats.recheck_experiments += 1;
+        memo.checks(p, &options)
+    };
 
     for (fi, f) in checked.program.funcs.iter().enumerate() {
         let param_span = |name: &fearless_syntax::Symbol| -> Span {
@@ -44,7 +89,7 @@ pub(crate) fn run(checked: &CheckedProgram, report: &mut AnalysisReport) {
         for (i, name) in f.annotations.pinned.iter().enumerate() {
             let mut p = checked.program.clone();
             p.funcs[fi].annotations.pinned.remove(i);
-            if still_checks(report, &mut cache, &p) {
+            if still_checks(report, &mut memo, &p) {
                 report.lints.push(lint(
                     f.name.as_str(),
                     param_span(name),
@@ -56,7 +101,7 @@ pub(crate) fn run(checked: &CheckedProgram, report: &mut AnalysisReport) {
         for (i, rel) in f.annotations.before.iter().enumerate() {
             let mut p = checked.program.clone();
             p.funcs[fi].annotations.before.remove(i);
-            if still_checks(report, &mut cache, &p) {
+            if still_checks(report, &mut memo, &p) {
                 report.lints.push(lint(
                     f.name.as_str(),
                     rel.span,
@@ -69,7 +114,7 @@ pub(crate) fn run(checked: &CheckedProgram, report: &mut AnalysisReport) {
         for (i, name) in f.annotations.consumes.iter().enumerate() {
             let mut p = checked.program.clone();
             p.funcs[fi].annotations.consumes.remove(i);
-            if still_checks(report, &mut cache, &p) {
+            if still_checks(report, &mut memo, &p) {
                 report.lints.push(lint(
                     f.name.as_str(),
                     param_span(name),
@@ -89,7 +134,7 @@ pub(crate) fn run(checked: &CheckedProgram, report: &mut AnalysisReport) {
             }
             let mut p = checked.program.clone();
             p.structs[si].fields[fi].iso = false;
-            if still_checks(report, &mut cache, &p) {
+            if still_checks(report, &mut memo, &p) {
                 report.lints.push(Lint {
                     code: LintCode::OverStrongAnnotation,
                     severity: Severity::Warning,
@@ -105,8 +150,8 @@ pub(crate) fn run(checked: &CheckedProgram, report: &mut AnalysisReport) {
         }
     }
 
-    report.stats.recheck_cache_hits = cache.stats.hits;
-    report.stats.recheck_cache_misses = cache.stats.misses;
+    report.stats.recheck_cache_hits = memo.hits;
+    report.stats.recheck_cache_misses = memo.misses;
 }
 
 fn lint(func: &str, span: Span, message: String) -> Lint {
@@ -122,7 +167,63 @@ fn lint(func: &str, span: Span, message: String) -> Lint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fearless_core::{check_source, CheckerOptions};
+    use fearless_core::{check_program, check_source};
+    use fearless_syntax::parse_program;
+
+    const SRC: &str = "
+        struct data { value: int }
+        def make(v: int) : data { new data(v) }
+        def get(d: data) : int { d.value }
+        def both(v: int) : int { get(make(v)) }
+    ";
+
+    #[test]
+    fn warm_rerun_is_all_hits_and_identical() {
+        let program = parse_program(SRC).unwrap();
+        let opts = CheckerOptions::default();
+        let mut memo = VerdictMemo::default();
+        assert!(memo.checks(&program, &opts));
+        assert_eq!((memo.hits, memo.misses), (0, 3));
+        assert!(memo.checks(&program, &opts));
+        assert_eq!((memo.hits, memo.misses), (3, 3));
+        assert!(check_program(&program, &opts).is_ok());
+    }
+
+    #[test]
+    fn seeded_cache_rechecks_only_the_mutated_function() {
+        let checked = check_source(SRC, &CheckerOptions::default()).unwrap();
+        let mut memo = VerdictMemo::seeded(&checked);
+        assert_eq!(memo.verdicts.len(), 3);
+
+        // Renaming `get`'s parameter changes `get` and, because parameter
+        // names appear in elaborated signatures (consumes/pinned refer to
+        // them), its caller `both`. `make` keeps its fingerprint.
+        let src2 = SRC.replace(
+            "get(d: data) : int { d.value }",
+            "get(x: data) : int { x.value }",
+        );
+        let mutated = parse_program(&src2).unwrap();
+        assert!(memo.checks(&mutated, &CheckerOptions::default()));
+        assert_eq!((memo.hits, memo.misses), (1, 2));
+    }
+
+    #[test]
+    fn errors_are_cached_and_replayed() {
+        // `bad` fails, so the query stops there and never reaches `last`.
+        let program = parse_program(
+            "def first(x: int) : int { x }
+             def bad(x: int) : bool { x }
+             def last(x: int) : int { x + 1 }",
+        )
+        .unwrap();
+        let opts = CheckerOptions::default();
+        let mut memo = VerdictMemo::default();
+        assert!(!memo.checks(&program, &opts));
+        assert_eq!((memo.hits, memo.misses), (0, 2));
+        assert!(!memo.checks(&program, &opts));
+        assert_eq!((memo.hits, memo.misses), (2, 2));
+        assert!(check_program(&program, &opts).is_err());
+    }
 
     fn analyze(src: &str) -> AnalysisReport {
         let checked = check_source(src, &CheckerOptions::default()).unwrap();

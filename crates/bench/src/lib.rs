@@ -1007,7 +1007,7 @@ mod tests {
     #[test]
     fn e12_obs_snapshot_is_deterministic_modulo_nondet() {
         let strip = |doc: &str| {
-            let parsed = fearless_incr::parse_json(doc).expect("snapshot parses");
+            let parsed = fearless_trace::Json::parse(doc).expect("snapshot parses");
             fearless_obs::strip_nondet(&parsed).render()
         };
         let a = obs_snapshot();

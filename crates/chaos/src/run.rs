@@ -19,10 +19,10 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use fearless_incr::checksum_hex;
 use fearless_runtime::{
     DisconnectStrategy, FlowIndex, Machine, MachineConfig, Schedule, ThreadStatus,
 };
+use fearless_trace::json::checksum_hex;
 use fearless_trace::Json;
 
 use crate::faults::FaultSpec;

@@ -595,7 +595,7 @@ mod tests {
         assert_eq!(one.outcomes, two.outcomes);
         // The BENCH documents agree modulo `_nondet` — a 0-regression
         // bench-diff, which is exactly what CI gates on.
-        let parse = |t: &str| fearless_incr::parse_json(t).unwrap();
+        let parse = |t: &str| Json::parse(t).unwrap();
         let diff = fearless_obs::bench_diff(&parse(&one.to_json()), &parse(&two.to_json()), 0);
         assert!(!diff.has_regressions(), "{}", diff.render());
         assert_eq!(

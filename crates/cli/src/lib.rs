@@ -49,9 +49,9 @@
 use std::fmt::Write as _;
 
 use fearless_chaos::{ChaosOptions, FaultSpec};
-use fearless_core::{CacheStats, CheckerMode, CheckerOptions};
+use fearless_core::{CheckerMode, CheckerOptions};
 use fearless_flow::{FlowCache, ProgramFlow};
-use fearless_incr::DiskCache;
+use fearless_incr::{CacheStats, DiskCache};
 use fearless_runtime::{Machine, MachineConfig, Value};
 use fearless_trace::{Json, MemorySink, TraceSink, Tracer};
 
@@ -1954,8 +1954,8 @@ fn bench_diff_command(
     threshold_pct: u64,
     json: bool,
 ) -> Result<String, String> {
-    let old = fearless_incr::parse_json(old_text).ok_or("old document is not valid JSON")?;
-    let new = fearless_incr::parse_json(new_text).ok_or("new document is not valid JSON")?;
+    let old = Json::parse(old_text).ok_or("old document is not valid JSON")?;
+    let new = Json::parse(new_text).ok_or("new document is not valid JSON")?;
     let report = fearless_obs::bench_diff(&old, &new, threshold_pct);
     let out = if json {
         report.to_json_value().render()
@@ -1972,7 +1972,7 @@ fn bench_diff_command(
 /// Runs `fearlessc strip-nondet`: print the document with every
 /// `_nondet`-tagged field removed.
 fn strip_nondet_command(text: &str) -> Result<String, String> {
-    let doc = fearless_incr::parse_json(text).ok_or("input is not valid JSON")?;
+    let doc = Json::parse(text).ok_or("input is not valid JSON")?;
     Ok(fearless_obs::strip_nondet(&doc).render())
 }
 

@@ -17,9 +17,10 @@
 //!   parameter/result types, in its body (`new`, `recv`), or in a callee
 //!   signature, closed transitively over field types.
 //!
-//! This is the cache key of [`crate::cache::CheckCache`] and of the
-//! on-disk cache in `fearless-incr`: equal fingerprints → byte-identical
-//! check outcomes, different fingerprints → conservative re-check.
+//! This is the cache key of the check cache in `fearless-incr` and of
+//! the verdict memo behind `fearless-analyze`'s FA002 probes: equal
+//! fingerprints → byte-identical check outcomes, different fingerprints
+//! → conservative re-check.
 
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt;

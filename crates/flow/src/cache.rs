@@ -1,9 +1,10 @@
 //! The on-disk flow-summary cache (`fearlessc flow --cache <dir>`).
 //!
 //! Same discipline as `fearless-incr`'s check cache: one deterministic
-//! JSON document (`flow.json`, schema `fearless-flow-cache/1`) with an
-//! embedded FNV-1a 64 content checksum, written atomically via a temp
-//! file + rename, degrading to a cold start on *any* corruption.
+//! sealed [`fearless_trace::json`] document (`flow.json`, schema
+//! `fearless-flow-cache/1`) with an embedded FNV-1a 64 content checksum,
+//! written atomically via a temp file + rename, degrading to a cold
+//! start on *any* corruption.
 //!
 //! Entries are keyed by [`fn_key`]: a checksum over the function's own
 //! checker [`Fingerprint`](fearless_core::Fingerprint) and the
@@ -15,8 +16,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
-use fearless_incr::{checksum_hex, parse_json};
 use fearless_runtime::{CompiledProgram, Inst, StepSafety};
+use fearless_trace::json::{checksum_hex, read_sealed, seal, write_atomic};
 use fearless_trace::Json;
 
 use crate::FnSummary;
@@ -91,33 +92,16 @@ impl CachedSummary {
     }
 
     fn from_json(v: &Json) -> Option<CachedSummary> {
-        let Json::Obj(fields) = v else { return None };
-        let get = |k: &str| fields.iter().find(|(n, _)| n == k).map(|(_, v)| v);
-        let name = match get("name")? {
-            Json::Str(s) => s.clone(),
-            _ => return None,
-        };
-        let safety = match get("safety")? {
-            Json::Str(s) => s.clone(),
-            _ => return None,
-        };
-        let local_heap_quiet = match get("local_heap_quiet")? {
-            Json::Bool(b) => *b,
-            _ => return None,
-        };
         let mut callees = Vec::new();
-        if let Json::Arr(items) = get("callees")? {
+        if let Json::Arr(items) = v.get("callees")? {
             for item in items {
-                match item {
-                    Json::Str(s) => callees.push(s.clone()),
-                    _ => return None,
-                }
+                callees.push(item.as_str()?.to_string());
             }
         }
         Some(CachedSummary {
-            name,
-            safety,
-            local_heap_quiet,
+            name: v.get("name")?.as_str()?.to_string(),
+            safety: v.get("safety")?.as_str()?.to_string(),
+            local_heap_quiet: v.get("local_heap_quiet")?.as_bool()?,
             callees,
         })
     }
@@ -160,31 +144,12 @@ impl FlowCache {
             dir: Some(dir.clone()),
             ..FlowCache::default()
         };
-        let Ok(bytes) = std::fs::read(dir.join(CACHE_FILE)) else {
-            return cache;
-        };
-        let Ok(text) = String::from_utf8(bytes) else {
-            return cache;
-        };
-        let Some(Json::Obj(fields)) = parse_json(&text) else {
-            return cache;
-        };
-        let get = |k: &str| fields.iter().find(|(n, _)| n == k).map(|(_, v)| v);
-        if !matches!(get("schema"), Some(Json::Str(s)) if s == CACHE_SCHEMA) {
-            return cache;
-        }
-        let Some(Json::Str(stored_checksum)) = get("checksum") else {
-            return cache;
-        };
-        let entries = get("entries").cloned().unwrap_or(Json::Obj(Vec::new()));
-        let payload = Json::obj([("entries", entries.clone())]).render();
-        if &checksum_hex(&payload) != stored_checksum {
-            return cache;
-        }
-        if let Json::Obj(entries) = &entries {
+        if let Ok(Some([Json::Obj(entries)])) =
+            read_sealed(&dir.join(CACHE_FILE), CACHE_SCHEMA, ["entries"])
+        {
             for (key, v) in entries {
-                if let Some(summary) = CachedSummary::from_json(v) {
-                    cache.entries.insert(key.clone(), summary);
+                if let Some(summary) = CachedSummary::from_json(&v) {
+                    cache.entries.insert(key, summary);
                 }
             }
         }
@@ -239,19 +204,8 @@ impl FlowCache {
     /// Renders the cache document (deterministic bytes, embedded
     /// content checksum).
     pub fn to_json(&self) -> String {
-        let entries = Json::Obj(
-            self.entries
-                .iter()
-                .map(|(k, v)| (k.clone(), v.to_json()))
-                .collect(),
-        );
-        let payload = Json::obj([("entries", entries.clone())]).render();
-        Json::obj([
-            ("schema", Json::str(CACHE_SCHEMA)),
-            ("checksum", Json::str(checksum_hex(&payload))),
-            ("entries", entries),
-        ])
-        .render()
+        let mut entries = self.entries.iter().map(|(k, v)| (k.clone(), v.to_json()));
+        seal(CACHE_SCHEMA, [("entries", &mut entries)])
     }
 
     /// Writes the cache back atomically (temp file + rename). Ephemeral
@@ -266,14 +220,8 @@ impl FlowCache {
         };
         std::fs::create_dir_all(dir)
             .map_err(|e| format!("cannot create cache dir `{}`: {e}", dir.display()))?;
-        let path = dir.join(CACHE_FILE);
         let tmp = dir.join(format!("{CACHE_FILE}.tmp.{}", std::process::id()));
-        std::fs::write(&tmp, self.to_json())
-            .map_err(|e| format!("cannot write cache temp `{}`: {e}", tmp.display()))?;
-        std::fs::rename(&tmp, &path).map_err(|e| {
-            let _ = std::fs::remove_file(&tmp);
-            format!("cannot commit cache `{}`: {e}", path.display())
-        })
+        write_atomic(&dir.join(CACHE_FILE), &tmp, &self.to_json())
     }
 
     /// The backing directory, if persistent.

@@ -10,10 +10,9 @@
 //! per qualified function name, which is what turns a content change
 //! into a counted *invalidation*.
 //!
-//! The workspace is offline by design, so the file is rendered through
-//! `fearless-trace`'s [`Json`] tree and read back by the minimal parser
-//! in this module (exactly the subset that renderer emits). A missing or
-//! unreadable file degrades to an empty cache, never an error.
+//! The document is a sealed [`fearless_trace::json`] envelope, rendered
+//! and read back through that module. A missing or unreadable file
+//! degrades to an empty cache, never an error.
 //!
 //! ## Crash safety
 //!
@@ -26,7 +25,7 @@
 //!   cache directory and `rename`s it over `check-cache.json`, so a
 //!   crash mid-save leaves either the old document or the new one,
 //!   never a torn hybrid (a stray temp file is inert).
-//! * **Content checksum**: the document embeds an FNV-1a 64 checksum of
+//! * **Content checksum**: the envelope embeds an FNV-1a 64 checksum of
 //!   the canonical `{entries, names}` payload rendering. [`DiskCache::load`]
 //!   re-renders the parsed payload and compares; any mismatch (or
 //!   malformed JSON, or a schema-tag mismatch) discards the file and
@@ -50,6 +49,7 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use fearless_core::Fingerprint;
+use fearless_trace::json::{read_sealed, seal, write_atomic};
 use fearless_trace::Json;
 
 /// File name inside the cache directory.
@@ -194,8 +194,9 @@ pub enum CachedOutcome {
         vir_steps: u64,
         /// Backtracking-search states visited.
         search_nodes: u64,
-        /// The `check` span's counters, keyed by counter name.
-        counters: BTreeMap<String, u64>,
+        /// The `check` span's counters, keyed by counter name (names
+        /// outside [`crate::counter_names::ALL`] are dropped on load).
+        counters: BTreeMap<&'static str, u64>,
     },
     /// The function failed to check.
     Err {
@@ -227,7 +228,7 @@ impl CachedOutcome {
                     Json::Obj(
                         counters
                             .iter()
-                            .map(|(k, v)| (k.clone(), Json::U64(*v)))
+                            .map(|(k, v)| (k.to_string(), Json::U64(*v)))
                             .collect(),
                     ),
                 ),
@@ -246,49 +247,28 @@ impl CachedOutcome {
     }
 
     pub(crate) fn from_json(v: &Json) -> Option<CachedOutcome> {
-        let fields = match v {
-            Json::Obj(fields) => fields,
-            _ => return None,
-        };
-        let get = |k: &str| fields.iter().find(|(n, _)| n == k).map(|(_, v)| v);
-        match get("ok")? {
-            Json::Bool(true) => {
-                let mut counters = BTreeMap::new();
-                if let Some(Json::Obj(cs)) = get("counters") {
-                    for (k, v) in cs {
-                        if let Json::U64(n) = v {
-                            counters.insert(k.clone(), *n);
-                        }
+        if v.get("ok")?.as_bool()? {
+            let mut counters = BTreeMap::new();
+            if let Some(Json::Obj(cs)) = v.get("counters") {
+                for (k, n) in cs {
+                    if let (Some(k), Some(n)) = (crate::counter_names::intern(k), n.as_u64()) {
+                        counters.insert(k, n);
                     }
                 }
-                Some(CachedOutcome::Ok {
-                    nodes: as_u64(get("nodes")?)?,
-                    vir_steps: as_u64(get("vir_steps")?)?,
-                    search_nodes: as_u64(get("search_nodes")?)?,
-                    counters,
-                })
             }
-            Json::Bool(false) => Some(CachedOutcome::Err {
-                message: as_str(get("message")?)?.to_string(),
-                span_lo: as_u64(get("span_lo")?)? as u32,
-                span_hi: as_u64(get("span_hi")?)? as u32,
-            }),
-            _ => None,
+            Some(CachedOutcome::Ok {
+                nodes: v.get("nodes")?.as_u64()?,
+                vir_steps: v.get("vir_steps")?.as_u64()?,
+                search_nodes: v.get("search_nodes")?.as_u64()?,
+                counters,
+            })
+        } else {
+            Some(CachedOutcome::Err {
+                message: v.get("message")?.as_str()?.to_string(),
+                span_lo: v.get("span_lo")?.as_u64()? as u32,
+                span_hi: v.get("span_hi")?.as_u64()? as u32,
+            })
         }
-    }
-}
-
-fn as_u64(v: &Json) -> Option<u64> {
-    match v {
-        Json::U64(n) => Some(*n),
-        _ => None,
-    }
-}
-
-fn as_str(v: &Json) -> Option<&str> {
-    match v {
-        Json::Str(s) => Some(s),
-        _ => None,
     }
 }
 
@@ -305,17 +285,6 @@ pub enum LoadOutcome {
     /// cold start. The payload says why (for the trace event) — it
     /// never changes diagnostics.
     Recovered(&'static str),
-}
-
-/// FNV-1a 64 over `text`, in fixed-width lowercase hex — the content
-/// checksum embedded in (and verified against) the cache document.
-pub fn checksum_hex(text: &str) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in text.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    format!("{h:016x}")
 }
 
 /// The persistent cache: content-addressed outcomes plus the name →
@@ -350,53 +319,28 @@ impl DiskCache {
             dir: Some(dir.clone()),
             ..DiskCache::default()
         };
-        let recovered = |mut cache: DiskCache, reason: &'static str| {
-            cache.load_outcome = LoadOutcome::Recovered(reason);
-            cache
-        };
-        let bytes = match std::fs::read(dir.join(CACHE_FILE)) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return cache,
-            Err(_) => return recovered(cache, "unreadable"),
-        };
-        let Ok(text) = String::from_utf8(bytes) else {
-            return recovered(cache, "invalid utf-8");
-        };
-        let Some(root) = parse_json(&text) else {
-            return recovered(cache, "malformed json");
-        };
-        let Json::Obj(fields) = &root else {
-            return recovered(cache, "malformed json");
-        };
-        let get = |k: &str| fields.iter().find(|(n, _)| n == k).map(|(_, v)| v);
-        if get("schema").and_then(as_str) != Some(SCHEMA) {
-            return recovered(cache, "schema mismatch");
-        }
-        let Some(stored_checksum) = get("checksum").and_then(as_str) else {
-            return recovered(cache, "missing checksum");
-        };
-        let entries = get("entries").cloned().unwrap_or(Json::Obj(Vec::new()));
-        let names = get("names").cloned().unwrap_or(Json::Obj(Vec::new()));
-        // Re-render the parsed payload canonically; any content-altering
-        // corruption (bit flip, truncation that still parses, torn
-        // write) changes these bytes and fails the comparison.
-        let payload = Json::obj([("entries", entries.clone()), ("names", names.clone())]).render();
-        if checksum_hex(&payload) != stored_checksum {
-            return recovered(cache, "checksum mismatch");
-        }
-        if let Json::Obj(entries) = &entries {
+        let [entries, names] =
+            match read_sealed(&dir.join(CACHE_FILE), SCHEMA, ["entries", "names"]) {
+                Ok(Some(payload)) => payload,
+                Ok(None) => return cache,
+                Err(reason) => {
+                    cache.load_outcome = LoadOutcome::Recovered(reason);
+                    return cache;
+                }
+            };
+        if let Json::Obj(entries) = entries {
             for (fp, v) in entries {
-                if Fingerprint::from_hex(fp).is_some() {
-                    if let Some(outcome) = CachedOutcome::from_json(v) {
-                        cache.entries.insert(fp.clone(), outcome);
+                if Fingerprint::from_hex(&fp).is_some() {
+                    if let Some(outcome) = CachedOutcome::from_json(&v) {
+                        cache.entries.insert(fp, outcome);
                     }
                 }
             }
         }
-        if let Json::Obj(names) = &names {
+        if let Json::Obj(names) = names {
             for (name, v) in names {
-                if let Some(fp) = as_str(v) {
-                    cache.names.insert(name.clone(), fp.to_string());
+                if let Json::Str(fp) = v {
+                    cache.names.insert(name, fp);
                 }
             }
         }
@@ -520,36 +464,12 @@ impl DiskCache {
         applied
     }
 
-    /// The canonical `{entries, names}` payload rendering the checksum
-    /// covers.
-    fn payload_json(&self) -> (Json, Json) {
-        let entries = Json::Obj(
-            self.entries
-                .iter()
-                .map(|(k, v)| (k.clone(), v.to_json()))
-                .collect(),
-        );
-        let names = Json::Obj(
-            self.names
-                .iter()
-                .map(|(k, v)| (k.clone(), Json::str(v.clone())))
-                .collect(),
-        );
-        (entries, names)
-    }
-
     /// Renders the cache document (deterministic bytes, embedded
     /// content checksum).
     pub fn to_json(&self) -> String {
-        let (entries, names) = self.payload_json();
-        let payload = Json::obj([("entries", entries.clone()), ("names", names.clone())]).render();
-        Json::obj([
-            ("schema", Json::str(SCHEMA)),
-            ("checksum", Json::str(checksum_hex(&payload))),
-            ("entries", entries),
-            ("names", names),
-        ])
-        .render()
+        let mut entries = self.entries.iter().map(|(k, v)| (k.clone(), v.to_json()));
+        let mut names = self.names.iter().map(|(k, v)| (k.clone(), Json::str(v)));
+        seal(SCHEMA, [("entries", &mut entries), ("names", &mut names)])
     }
 
     /// Writes the cache back to its directory (creating it if needed).
@@ -573,165 +493,17 @@ impl DiskCache {
         // one directory); on timeout proceed last-writer-wins — the
         // atomic rename plus checksum keep every reader safe.
         let _lock = SaveLock::acquire(dir, 100, 5, LOCK_STALE_SECS);
-        let path = dir.join(CACHE_FILE);
         let tmp = dir.join(format!(
             "{CACHE_FILE}.tmp.{}.{:x}",
             std::process::id(),
             std::ptr::from_ref(self) as usize
         ));
-        std::fs::write(&tmp, self.to_json())
-            .map_err(|e| format!("cannot write cache temp `{}`: {e}", tmp.display()))?;
-        std::fs::rename(&tmp, &path).map_err(|e| {
-            let _ = std::fs::remove_file(&tmp);
-            format!("cannot commit cache `{}`: {e}", path.display())
-        })
+        write_atomic(&dir.join(CACHE_FILE), &tmp, &self.to_json())
     }
 
     /// The backing directory, if persistent.
     pub fn dir(&self) -> Option<&Path> {
         self.dir.as_deref()
-    }
-}
-
-///// Parses the JSON subset `fearless_trace::Json::render` emits (objects,
-/// arrays, strings with the renderer's escapes, unsigned integers,
-/// booleans, null). Returns `None` on any malformed input.
-pub fn parse_json(text: &str) -> Option<Json> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    let v = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos == bytes.len() {
-        Some(v)
-    } else {
-        None
-    }
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r' | b',') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Option<Json> {
-    skip_ws(b, pos);
-    match *b.get(*pos)? {
-        b'{' => {
-            *pos += 1;
-            let mut fields = Vec::new();
-            loop {
-                skip_ws(b, pos);
-                match *b.get(*pos)? {
-                    b'}' => {
-                        *pos += 1;
-                        return Some(Json::Obj(fields));
-                    }
-                    b'"' => {
-                        let key = parse_string(b, pos)?;
-                        skip_ws(b, pos);
-                        if *b.get(*pos)? != b':' {
-                            return None;
-                        }
-                        *pos += 1;
-                        let value = parse_value(b, pos)?;
-                        fields.push((key, value));
-                    }
-                    _ => return None,
-                }
-            }
-        }
-        b'[' => {
-            *pos += 1;
-            let mut items = Vec::new();
-            loop {
-                skip_ws(b, pos);
-                if *b.get(*pos)? == b']' {
-                    *pos += 1;
-                    return Some(Json::Arr(items));
-                }
-                items.push(parse_value(b, pos)?);
-            }
-        }
-        b'"' => parse_string(b, pos).map(Json::Str),
-        b't' => {
-            if b[*pos..].starts_with(b"true") {
-                *pos += 4;
-                Some(Json::Bool(true))
-            } else {
-                None
-            }
-        }
-        b'f' => {
-            if b[*pos..].starts_with(b"false") {
-                *pos += 5;
-                Some(Json::Bool(false))
-            } else {
-                None
-            }
-        }
-        b'n' => {
-            if b[*pos..].starts_with(b"null") {
-                *pos += 4;
-                Some(Json::Null)
-            } else {
-                None
-            }
-        }
-        b'0'..=b'9' => {
-            let start = *pos;
-            while *pos < b.len() && b[*pos].is_ascii_digit() {
-                *pos += 1;
-            }
-            std::str::from_utf8(&b[start..*pos])
-                .ok()?
-                .parse::<u64>()
-                .ok()
-                .map(Json::U64)
-        }
-        _ => None,
-    }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Option<String> {
-    if *b.get(*pos)? != b'"' {
-        return None;
-    }
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        match *b.get(*pos)? {
-            b'"' => {
-                *pos += 1;
-                return Some(out);
-            }
-            b'\\' => {
-                *pos += 1;
-                match *b.get(*pos)? {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'n' => out.push('\n'),
-                    b'r' => out.push('\r'),
-                    b't' => out.push('\t'),
-                    b'u' => {
-                        let hex = b.get(*pos + 1..*pos + 5)?;
-                        let code = u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
-                        out.push(char::from_u32(code)?);
-                        *pos += 4;
-                    }
-                    _ => return None,
-                }
-                *pos += 1;
-            }
-            _ => {
-                // Copy one UTF-8 scalar (the renderer leaves non-ASCII
-                // unescaped).
-                let rest = std::str::from_utf8(&b[*pos..]).ok()?;
-                let c = rest.chars().next()?;
-                out.push(c);
-                *pos += c.len_utf8();
-            }
-        }
     }
 }
 
@@ -743,8 +515,8 @@ mod tests {
         let mut c = DiskCache::ephemeral();
         let fp = Fingerprint::from_hex("00000000000000000000000000000abc").unwrap();
         let mut counters = BTreeMap::new();
-        counters.insert("check.deriv_nodes".to_string(), 7);
-        counters.insert("vir.focus".to_string(), 2);
+        counters.insert("check.deriv_nodes", 7);
+        counters.insert("vir.focus", 2);
         c.insert(
             fp,
             CachedOutcome::Ok {
@@ -772,7 +544,7 @@ mod tests {
     fn json_roundtrip_preserves_everything() {
         let c = sample();
         let text = c.to_json();
-        let parsed = parse_json(&text).expect("parses");
+        let parsed = Json::parse(&text).expect("parses");
         // Re-render: byte identity proves the parser inverted the
         // renderer exactly.
         assert_eq!(parsed.render(), text);

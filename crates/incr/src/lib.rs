@@ -29,16 +29,16 @@ pub mod sched;
 pub mod wal;
 
 use fearless_core::env::Globals;
-use fearless_core::{check, CacheStats, CheckerOptions, Fingerprint, TypeError};
+use fearless_core::{check, CheckerOptions, Fingerprint, TypeError};
 use fearless_syntax::{Program, Span};
 use fearless_trace::{MemorySink, Tracer};
 
-pub use disk::{checksum_hex, parse_json, CachedOutcome, DiskCache, LoadOutcome};
+pub use disk::{CachedOutcome, DiskCache, LoadOutcome};
 pub use wal::{CacheWal, WalRecord, WalReplay};
 
 /// Every counter name a `check` span can carry, used to re-intern
-/// counters parsed back from the on-disk cache as the `&'static str`
-/// keys the trace layer requires. `counter_names::intern` must stay in
+/// counters parsed back from the on-disk cache and the WAL as the
+/// `&'static str` keys [`CachedOutcome`] and the trace layer use. `counter_names::intern` must stay in
 /// sync with `fearless_core::check::emit_check_metrics`; the
 /// `all_emitted_counters_are_internable` test in this crate's
 /// integration suite guards the pairing.
@@ -144,6 +144,34 @@ impl UnitReport {
                 _ => None,
             })
             .sum()
+    }
+}
+
+/// Hit/miss/invalidation counters for one cache's lifetime.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct CacheStats {
+    /// Lookups answered from the cache.
+    pub hits: u64,
+    /// Lookups that fell through to a real `check_fn` run.
+    pub misses: u64,
+    /// Times a function name re-appeared with a *different* fingerprint
+    /// than its previous appearance (a content change forcing re-check).
+    pub invalidations: u64,
+    /// Times a persistent cache was found corrupt (truncated, torn,
+    /// bit-flipped, checksum or schema mismatch) and silently degraded
+    /// to a cold start. Diagnostics stay byte-identical to a cold run;
+    /// only this counter (and the `cache.recoveries` trace counter)
+    /// records that recovery happened.
+    pub recoveries: u64,
+}
+
+impl CacheStats {
+    /// Accumulates another stats block into this one.
+    pub fn absorb(&mut self, other: &CacheStats) {
+        self.hits += other.hits;
+        self.misses += other.misses;
+        self.invalidations += other.invalidations;
+        self.recoveries += other.recoveries;
     }
 }
 
@@ -349,12 +377,7 @@ fn check_one(
                 counters: sink
                     .spans()
                     .next()
-                    .map(|s| {
-                        s.counters
-                            .iter()
-                            .map(|(k, v)| (k.to_string(), *v))
-                            .collect()
-                    })
+                    .map(|s| s.counters.clone())
                     .unwrap_or_default(),
             },
             Err(e) => CachedOutcome::Err {
@@ -390,9 +413,7 @@ fn replay_span(tracer: &mut Tracer<'_>, name: &str, outcome: &CachedOutcome) {
     tracer.span_enter("check", name);
     if let CachedOutcome::Ok { counters, .. } = outcome {
         for (k, v) in counters {
-            if let Some(key) = counter_names::intern(k) {
-                tracer.add(key, *v);
-            }
+            tracer.add(k, *v);
         }
     }
     tracer.span_exit();

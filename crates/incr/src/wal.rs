@@ -6,7 +6,9 @@
 //! state the next daemon must recompute. The WAL closes that gap:
 //! every cache mutation (a fresh outcome, a name move) is appended to
 //! `check-cache.wal` *before* the response leaves the daemon, so a
-//! crash loses at most the entries still in flight.
+//! process crash loses at most the entries still in flight. Appends are
+//! not `fsync`ed, so an OS crash or power loss can lose more (see
+//! `docs/GUARD.md`).
 //!
 //! ## Format
 //!
@@ -37,9 +39,10 @@
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
+use fearless_trace::json::checksum_hex;
 use fearless_trace::Json;
 
-use crate::disk::{checksum_hex, parse_json, CachedOutcome};
+use crate::disk::CachedOutcome;
 
 /// WAL file name inside the cache directory (next to
 /// [`crate::disk::CACHE_FILE`]).
@@ -87,20 +90,14 @@ impl WalRecord {
 
     /// Parses a record; `None` on any shape mismatch.
     pub fn from_json(v: &Json) -> Option<WalRecord> {
-        let Json::Obj(fields) = v else { return None };
-        let get = |k: &str| fields.iter().find(|(n, _)| n == k).map(|(_, v)| v);
-        let as_str = |v: &Json| match v {
-            Json::Str(s) => Some(s.clone()),
-            _ => None,
-        };
-        match get("kind").and_then(&as_str)?.as_str() {
+        match v.get("kind")?.as_str()? {
             "entry" => Some(WalRecord::Entry {
-                fp: get("fp").and_then(&as_str)?,
-                outcome: CachedOutcome::from_json(get("outcome")?)?,
+                fp: v.get("fp")?.as_str()?.to_string(),
+                outcome: CachedOutcome::from_json(v.get("outcome")?)?,
             }),
             "name" => Some(WalRecord::Name {
-                name: get("name").and_then(&as_str)?,
-                fp: get("fp").and_then(&as_str)?,
+                name: v.get("name")?.as_str()?.to_string(),
+                fp: v.get("fp")?.as_str()?.to_string(),
             }),
             _ => None,
         }
@@ -241,15 +238,10 @@ pub fn replay(dir: &Path) -> WalReplay {
         if line.is_empty() {
             continue;
         }
-        let parsed = parse_json(line);
+        let parsed = Json::parse(line);
         let rec = parsed.as_ref().and_then(|v| {
-            let Json::Obj(fields) = v else { return None };
-            let get = |k: &str| fields.iter().find(|(n, _)| n == k).map(|(_, v)| v);
-            let crc = match get("crc")? {
-                Json::Str(s) => s.clone(),
-                _ => return None,
-            };
-            let body = get("rec")?;
+            let crc = v.get("crc")?.as_str()?;
+            let body = v.get("rec")?;
             if checksum_hex(&body.render_compact()) != crc {
                 return None;
             }
@@ -280,7 +272,7 @@ mod tests {
 
     fn sample_records() -> Vec<WalRecord> {
         let mut counters = BTreeMap::new();
-        counters.insert("check.deriv_nodes".to_string(), 5);
+        counters.insert("check.deriv_nodes", 5);
         vec![
             WalRecord::Entry {
                 fp: "00000000000000000000000000000abc".to_string(),

@@ -112,7 +112,7 @@ fn warm_check_spans_match_a_cacheless_cold_run() {
 #[test]
 fn all_emitted_counters_are_internable() {
     // Every counter name a live `check` span can carry must survive the
-    // String round-trip through the disk cache, or warm metrics would
+    // JSON round-trip through the disk cache, or warm metrics would
     // silently drop it. Guards `counter_names::ALL` against additions to
     // `fearless_core::check::emit_check_metrics`.
     let units = corpus_units();

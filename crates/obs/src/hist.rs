@@ -150,21 +150,21 @@ impl Histogram {
     /// recorded `lo`/`hi` disagree with its index — boundary drift
     /// between writer and reader is a hard error, not a guess.
     pub fn from_json_value(json: &Json) -> Option<Histogram> {
-        let count = get_u64(json, "count")?;
-        let sum = get_u64(json, "sum")?;
-        let max = get_u64(json, "max")?;
-        let Json::Arr(items) = get(json, "buckets")? else {
+        let count = json.get("count")?.as_u64()?;
+        let sum = json.get("sum")?.as_u64()?;
+        let max = json.get("max")?.as_u64()?;
+        let Json::Arr(items) = json.get("buckets")? else {
             return None;
         };
         let mut buckets = BTreeMap::new();
         for item in items {
-            let bucket = u32::try_from(get_u64(item, "bucket")?).ok()?;
-            if get_u64(item, "lo")? != bucket_lo(bucket)
-                || get_u64(item, "hi")? != bucket_hi(bucket)
+            let bucket = u32::try_from(item.get("bucket")?.as_u64()?).ok()?;
+            if item.get("lo")?.as_u64()? != bucket_lo(bucket)
+                || item.get("hi")?.as_u64()? != bucket_hi(bucket)
             {
                 return None;
             }
-            let n = get_u64(item, "count")?;
+            let n = item.get("count")?.as_u64()?;
             if buckets.insert(bucket, n).is_some() {
                 return None;
             }
@@ -242,20 +242,6 @@ impl HistogramSet {
             hists.insert(name.clone(), Histogram::from_json_value(value)?);
         }
         Some(HistogramSet { hists })
-    }
-}
-
-fn get<'a>(json: &'a Json, key: &str) -> Option<&'a Json> {
-    let Json::Obj(fields) = json else {
-        return None;
-    };
-    fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn get_u64(json: &Json, key: &str) -> Option<u64> {
-    match get(json, key)? {
-        Json::U64(v) => Some(*v),
-        _ => None,
     }
 }
 
@@ -340,7 +326,7 @@ mod tests {
         assert_eq!(back, h);
         // A tampered boundary is rejected, not silently rebucketed.
         let rendered = json.render().replace("\"lo\": 16", "\"lo\": 15");
-        let tampered = fearless_incr::parse_json(&rendered).unwrap();
+        let tampered = Json::parse(&rendered).unwrap();
         assert!(Histogram::from_json_value(&tampered).is_none());
     }
 

@@ -98,7 +98,7 @@ proptest! {
         }
         let h = record_all(&samples);
         let rendered = h.to_json_value().render();
-        let parsed = fearless_incr::parse_json(&rendered).unwrap();
+        let parsed = fearless_trace::Json::parse(&rendered).unwrap();
         let back = Histogram::from_json_value(&parsed).unwrap();
         prop_assert_eq!(back.to_json_value().render(), rendered);
     }
@@ -130,7 +130,7 @@ proptest! {
         let serial_bytes = serial.to_json_value().render();
         prop_assert_eq!(&serial_bytes, &forward.to_json_value().render());
         prop_assert_eq!(&serial_bytes, &backward.to_json_value().render());
-        let parsed = fearless_incr::parse_json(&serial_bytes).unwrap();
+        let parsed = fearless_trace::Json::parse(&serial_bytes).unwrap();
         let back = HistogramSet::from_json_value(&parsed).unwrap();
         prop_assert_eq!(back.to_json_value().render(), serial_bytes);
     }

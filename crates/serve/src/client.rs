@@ -38,9 +38,9 @@ impl Default for RetryPolicy {
     }
 }
 
-/// SplitMix64 — the same seeded generator the bench uses; here it only
-/// jitters backoff sleeps (never response bytes).
-fn splitmix(mut x: u64) -> u64 {
+/// SplitMix64: jitters retry backoff sleeps here (never response bytes)
+/// and assigns bodies to bench requests.
+pub(crate) fn splitmix(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = x;
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -515,18 +515,12 @@ fn wait_for_queue_depth(c: &mut Client, want: u64) -> Result<(), String> {
 /// or unparseable).
 pub fn stat_counter(stats_output: &str, name: &str) -> u64 {
     use fearless_trace::Json;
-    let Some(doc) = fearless_incr::parse_json(stats_output) else {
+    let Some(doc) = Json::parse(stats_output) else {
         return 0;
     };
-    let get = |v: &Json, k: &str| -> Option<Json> {
-        match v {
-            Json::Obj(fields) => fields.iter().find(|(n, _)| n == k).map(|(_, v)| v.clone()),
-            _ => None,
-        }
-    };
-    let counters = get(&doc, "counters").unwrap_or(Json::Null);
-    match get(&counters, name).or_else(|| get(&doc, name)) {
-        Some(Json::U64(n)) => n,
-        _ => 0,
-    }
+    let counter = doc.get("counters").and_then(|c| c.get(name));
+    counter
+        .or_else(|| doc.get(name))
+        .and_then(Json::as_u64)
+        .unwrap_or(0)
 }

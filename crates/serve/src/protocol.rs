@@ -197,42 +197,17 @@ impl Response {
 
     /// Parses a response document.
     pub fn from_json(text: &str) -> Option<Response> {
-        let root = fearless_incr::parse_json(text)?;
-        let Json::Obj(fields) = &root else {
-            return None;
-        };
-        let get = |k: &str| fields.iter().find(|(n, _)| n == k).map(|(_, v)| v);
-        if get("schema") != Some(&Json::str(SCHEMA)) {
+        let root = Json::parse(text)?;
+        if root.get("schema")?.as_str()? != SCHEMA {
             return None;
         }
-        let status = match get("status")? {
-            Json::Str(s) => s.clone(),
-            _ => return None,
-        };
-        let code = match get("code")? {
-            Json::U64(n) => *n,
-            _ => return None,
-        };
-        let output = match get("output")? {
-            Json::Str(s) => s.clone(),
-            _ => return None,
-        };
-        let retry_after_millis = match get("retry_after_millis") {
-            Some(Json::U64(n)) => Some(*n),
-            _ => None,
-        };
-        let cost = match get("cost_nodes") {
-            Some(Json::U64(n)) => Some(*n),
-            _ => None,
-        };
-        let stale = matches!(get("stale"), Some(Json::Bool(true)));
         Some(Response {
-            status,
-            code,
-            output,
-            retry_after_millis,
-            cost,
-            stale,
+            status: root.get("status")?.as_str()?.to_string(),
+            code: root.get("code")?.as_u64()?,
+            output: root.get("output")?.as_str()?.to_string(),
+            retry_after_millis: root.get("retry_after_millis").and_then(Json::as_u64),
+            cost: root.get("cost_nodes").and_then(Json::as_u64),
+            stale: root.get("stale").and_then(Json::as_bool) == Some(true),
         })
     }
 }
@@ -345,35 +320,32 @@ pub fn parse_request(bytes: &[u8]) -> Result<Request, (u64, String)> {
             format!("frame body is not a `{SCHEMA}` request object"),
         )
     };
-    let root = fearless_incr::parse_json(text).ok_or_else(malformed)?;
-    let Json::Obj(fields) = &root else {
-        return Err(malformed());
-    };
-    let get = |k: &str| fields.iter().find(|(n, _)| n == k).map(|(_, v)| v);
-    if get("schema") != Some(&Json::str(SCHEMA)) {
+    let root = Json::parse(text).ok_or_else(malformed)?;
+    if root.get("schema").and_then(Json::as_str) != Some(SCHEMA) {
         return Err(malformed());
     }
-    let kind = match get("kind") {
-        Some(Json::Str(s)) => s.clone(),
-        _ => return Err(malformed()),
-    };
+    let kind = root
+        .get("kind")
+        .and_then(Json::as_str)
+        .ok_or_else(malformed)?
+        .to_string();
     if !WORK_KINDS.contains(&kind.as_str()) && !CONTROL_KINDS.contains(&kind.as_str()) {
         return Err((
             codes::UNKNOWN_KIND,
             format!("unknown request kind `{kind}`"),
         ));
     }
-    let body = match get("body") {
+    let body = match root.get("body") {
         Some(Json::Str(s)) => s.clone(),
         None => String::new(),
         _ => return Err(malformed()),
     };
-    let deadline_millis = match get("deadline_millis") {
+    let deadline_millis = match root.get("deadline_millis") {
         Some(Json::U64(n)) => Some(*n),
         None => None,
         _ => return Err(malformed()),
     };
-    let allow_stale = match get("allow_stale") {
+    let allow_stale = match root.get("allow_stale") {
         Some(Json::Bool(b)) => *b,
         None => false,
         _ => return Err(malformed()),

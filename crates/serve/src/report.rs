@@ -36,31 +36,9 @@ const COLUMNS: &[Column] = &[
     ("profile", |l| l.profiles),
 ];
 
-fn get<'a>(json: &'a Json, key: &str) -> Option<&'a Json> {
-    let Json::Obj(fields) = json else {
-        return None;
-    };
-    fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn get_u64(json: &Json, key: &str) -> Option<u64> {
-    match get(json, key)? {
-        Json::U64(v) => Some(*v),
-        _ => None,
-    }
-}
-
-fn get_str<'a>(json: &'a Json, key: &str) -> Option<&'a str> {
-    match get(json, key)? {
-        Json::Str(s) => Some(s),
-        _ => None,
-    }
-}
-
 fn entry_field(entry: &Json, name: &str) -> u64 {
-    get(entry, "fields")
-        .and_then(|f| get_u64(f, name))
-        .unwrap_or(0)
+    let field = entry.get("fields").and_then(|f| f.get(name));
+    field.and_then(Json::as_u64).unwrap_or(0)
 }
 
 /// Renders the per-client serve table from a rendered serve-bench
@@ -71,22 +49,21 @@ fn entry_field(entry: &Json, name: &str) -> u64 {
 /// Rejects text that is not a journal document or whose source is not
 /// `serve-bench`.
 pub fn render_serve_report(journal_text: &str) -> Result<String, String> {
-    let doc =
-        fearless_incr::parse_json(journal_text).ok_or_else(|| "not a JSON document".to_string())?;
-    let schema = get_str(&doc, "schema").unwrap_or("");
+    let doc = Json::parse(journal_text).ok_or_else(|| "not a JSON document".to_string())?;
+    let schema = doc.get("schema").and_then(Json::as_str).unwrap_or("");
     if schema != fearless_obs::SCHEMA {
         return Err(format!(
             "expected a `{}` journal, got schema `{schema}`",
             fearless_obs::SCHEMA
         ));
     }
-    let source = get_str(&doc, "source").unwrap_or("");
+    let source = doc.get("source").and_then(Json::as_str).unwrap_or("");
     if source != "serve-bench" {
         return Err(format!(
             "`report --serve` wants a serve-bench journal, got source `{source}`"
         ));
     }
-    let Some(Json::Arr(entries)) = get(&doc, "entries") else {
+    let Some(Json::Arr(entries)) = doc.get("entries") else {
         return Err("journal has no entries array".to_string());
     };
 
@@ -95,8 +72,8 @@ pub fn render_serve_report(journal_text: &str) -> Result<String, String> {
     let mut counters: Vec<(String, u64)> = Vec::new();
     let mut guard: Vec<(String, u64)> = Vec::new();
     for entry in entries {
-        let name = get_str(entry, "name").unwrap_or("");
-        let event = get_str(entry, "event").unwrap_or("");
+        let name = entry.get("name").and_then(Json::as_str).unwrap_or("");
+        let event = entry.get("event").and_then(Json::as_str).unwrap_or("");
         if name == "drill" && event == "shed" {
             drill = Some((
                 entry_field(entry, "requests"),
@@ -105,20 +82,20 @@ pub fn render_serve_report(journal_text: &str) -> Result<String, String> {
             continue;
         }
         if name == "guard" && event == "counters" {
-            if let Some(Json::Obj(fields)) = get(entry, "fields") {
+            if let Some(Json::Obj(fields)) = entry.get("fields") {
                 for (k, v) in fields {
-                    if let Json::U64(n) = v {
-                        guard.push((k.clone(), *n));
+                    if let Some(n) = v.as_u64() {
+                        guard.push((k.clone(), n));
                     }
                 }
             }
             continue;
         }
         if name == "stats" && event == "counters" {
-            if let Some(Json::Obj(fields)) = get(entry, "fields") {
+            if let Some(Json::Obj(fields)) = entry.get("fields") {
                 for (k, v) in fields {
-                    if let Json::U64(n) = v {
-                        counters.push((k.clone(), *n));
+                    if let Some(n) = v.as_u64() {
+                        counters.push((k.clone(), n));
                     }
                 }
             }
@@ -207,7 +184,7 @@ pub fn render_serve_report(journal_text: &str) -> Result<String, String> {
     }
 
     // Queue-depth and response-size distributions, when present.
-    if let Some(hists) = get(&doc, "histograms") {
+    if let Some(hists) = doc.get("histograms") {
         if let Some(set) = fearless_obs::HistogramSet::from_json_value(hists) {
             for (name, hist) in set.iter() {
                 if hist.count() == 0 {

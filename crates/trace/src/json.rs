@@ -1,11 +1,27 @@
-//! A tiny deterministic JSON value tree.
+//! A tiny deterministic JSON value tree: renderer, parser, and the
+//! checksummed envelope the on-disk caches share.
 //!
-//! The workspace is dependency-free by design, so (like
-//! `fearless-analyze`'s report encoder) JSON is rendered by hand. The
-//! tree keeps object fields in insertion order and every producer feeds it
-//! from sorted containers, so the emitted bytes are identical across runs
-//! — the CI determinism gate and the golden-file tests compare them
-//! verbatim.
+//! The workspace is dependency-free by design, so JSON is rendered and
+//! parsed by hand. The tree keeps object fields in insertion order and
+//! every producer feeds it from sorted containers, so the emitted bytes
+//! are identical across runs — the CI determinism gate and the
+//! golden-file tests compare them verbatim. [`Json::parse`] reads back
+//! exactly the subset the renderer emits.
+//!
+//! ## Sealed documents
+//!
+//! The check cache (`fearless-incr`) and the flow cache (`fearless-flow`)
+//! persist one document each, `{schema, checksum, payload fields...}`.
+//! [`seal`] embeds an FNV-1a 64 checksum ([`checksum_hex`]) of the
+//! payload fields rendered as one object; [`read_sealed`] re-renders the
+//! parsed payload and compares, so any content-altering corruption (bit
+//! flip, truncation that still parses, torn write) is caught.
+//! [`write_atomic`] lands a document through a temp file and a `rename`,
+//! so a crashed save leaves the old document or the new one, never a
+//! torn hybrid.
+
+use std::borrow::Borrow;
+use std::path::Path;
 
 /// Escapes a string for inclusion in a JSON string literal.
 pub fn escape(s: &str) -> String {
@@ -43,6 +59,61 @@ pub enum Json {
 }
 
 impl Json {
+    /// Parses the JSON subset [`Json::render`] and [`Json::render_compact`]
+    /// emit: objects, arrays, strings with the renderer's escapes,
+    /// unsigned integers, booleans and null. Commas are read as
+    /// whitespace. Returns `None` on any malformed input.
+    pub fn parse(text: &str) -> Option<Json> {
+        let mut p = Parser { text, pos: 0 };
+        let v = p.value()?;
+        p.skip_ws();
+        (p.pos == text.len()).then_some(v)
+    }
+
+    /// The value of the first field named `key`, when `self` is an object.
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        match self {
+            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// The integer, when `self` is one.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Json::U64(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// The string, when `self` is one.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Json::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The boolean, when `self` is one.
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Json::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
+    /// Moves the first field named `key` out of an object, leaving
+    /// `null` behind; an absent field reads as an empty object.
+    fn take_field(&mut self, key: &str) -> Json {
+        let field = match self {
+            Json::Obj(fields) => fields.iter_mut().find(|(k, _)| k == key),
+            _ => None,
+        };
+        field.map_or(Json::Obj(Vec::new()), |(_, v)| {
+            std::mem::replace(v, Json::Null)
+        })
+    }
+
     /// Convenience constructor for a string value.
     pub fn str(s: impl Into<String>) -> Json {
         Json::Str(s.into())
@@ -127,29 +198,253 @@ impl Json {
                 out.push_str(&"  ".repeat(depth));
                 out.push(']');
             }
-            Json::Obj(fields) => {
-                if fields.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
+            Json::Obj(fields) => write_obj(out, depth, fields.iter().map(|(k, v)| (k, v))),
+        }
+    }
+}
+
+/// Writes an object at `depth`, one member at a time.
+fn write_obj<K, V>(out: &mut String, depth: usize, fields: impl IntoIterator<Item = (K, V)>)
+where
+    K: AsRef<str>,
+    V: Borrow<Json>,
+{
+    let mut empty = true;
+    for (k, v) in fields {
+        out.push(if empty { '{' } else { ',' });
+        empty = false;
+        write_key(out, depth + 1, k.as_ref());
+        v.borrow().write(out, depth + 1);
+    }
+    if empty {
+        out.push_str("{}");
+    } else {
+        out.push('\n');
+        out.push_str(&"  ".repeat(depth));
+        out.push('}');
+    }
+}
+
+/// Writes the start of an object member at `depth`, up to its value.
+fn write_key(out: &mut String, depth: usize, key: &str) {
+    out.push('\n');
+    out.push_str(&"  ".repeat(depth));
+    out.push('"');
+    out.push_str(&escape(key));
+    out.push_str("\": ");
+}
+
+/// `fields` rendered as one pretty-printed object, as [`Json::render`]
+/// renders `Json::Obj(fields)`.
+fn render_obj(fields: &[(String, Json)]) -> String {
+    let mut out = String::new();
+    write_obj(&mut out, 0, fields.iter().map(|(k, v)| (k, v)));
+    out.push('\n');
+    out
+}
+
+/// A cursor over the text [`Json::parse`] reads.
+struct Parser<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+impl Parser<'_> {
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r' | b',')) {
+            self.pos += 1;
+        }
+    }
+
+    fn keyword(&mut self, word: &str, value: Json) -> Option<Json> {
+        if !self.text[self.pos..].starts_with(word) {
+            return None;
+        }
+        self.pos += word.len();
+        Some(value)
+    }
+
+    fn value(&mut self) -> Option<Json> {
+        self.skip_ws();
+        match self.peek()? {
+            b'{' => {
+                self.pos += 1;
+                let mut fields = Vec::new();
+                loop {
+                    self.skip_ws();
+                    match self.peek()? {
+                        b'}' => {
+                            self.pos += 1;
+                            return Some(Json::Obj(fields));
+                        }
+                        b'"' => {
+                            let key = self.string()?;
+                            self.skip_ws();
+                            if self.peek()? != b':' {
+                                return None;
+                            }
+                            self.pos += 1;
+                            fields.push((key, self.value()?));
+                        }
+                        _ => return None,
                     }
-                    out.push('\n');
-                    out.push_str(&"  ".repeat(depth + 1));
-                    out.push('"');
-                    out.push_str(&escape(k));
-                    out.push_str("\": ");
-                    v.write(out, depth + 1);
                 }
-                out.push('\n');
-                out.push_str(&"  ".repeat(depth));
-                out.push('}');
+            }
+            b'[' => {
+                self.pos += 1;
+                let mut items = Vec::new();
+                loop {
+                    self.skip_ws();
+                    if self.peek()? == b']' {
+                        self.pos += 1;
+                        return Some(Json::Arr(items));
+                    }
+                    items.push(self.value()?);
+                }
+            }
+            b'"' => self.string().map(Json::Str),
+            b't' => self.keyword("true", Json::Bool(true)),
+            b'f' => self.keyword("false", Json::Bool(false)),
+            b'n' => self.keyword("null", Json::Null),
+            b'0'..=b'9' => {
+                let start = self.pos;
+                let rest = &self.text.as_bytes()[start..];
+                self.pos += rest.iter().take_while(|b| b.is_ascii_digit()).count();
+                self.text[start..self.pos].parse().ok().map(Json::U64)
+            }
+            _ => None,
+        }
+    }
+
+    /// Reads a string literal starting at its opening quote. Each run of
+    /// unescaped characters is copied as one slice; the renderer leaves
+    /// non-ASCII text unescaped, and `"`/`\\` never occur inside a
+    /// multi-byte UTF-8 sequence, so the runs split on char boundaries.
+    fn string(&mut self) -> Option<String> {
+        self.pos += 1;
+        let mut out = String::new();
+        loop {
+            let rest = &self.text[self.pos..];
+            let run = rest.bytes().position(|b| b == b'"' || b == b'\\')?;
+            out.push_str(&rest[..run]);
+            self.pos += run;
+            if self.peek()? == b'"' {
+                self.pos += 1;
+                return Some(out);
+            }
+            let escaped = *self.text.as_bytes().get(self.pos + 1)?;
+            self.pos += 2;
+            match escaped {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'u' => {
+                    let hex = self.text.get(self.pos..self.pos + 4)?;
+                    out.push(char::from_u32(u32::from_str_radix(hex, 16).ok()?)?);
+                    self.pos += 4;
+                }
+                _ => return None,
             }
         }
     }
+}
+
+/// FNV-1a 64 over `text`, in fixed-width lowercase hex: the content
+/// checksum of sealed documents, WAL lines and serve request keys.
+pub fn checksum_hex(text: &str) -> String {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in text.as_bytes() {
+        h ^= u64::from(*b);
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    format!("{h:016x}")
+}
+
+/// Renders a sealed document: `schema`, then the checksum of `payload`,
+/// then the payload fields themselves. Every payload field is an object,
+/// given as its members; each member is rendered and dropped before the
+/// next is produced, so a save never holds a document-sized value tree.
+pub fn seal<const N: usize>(
+    schema: &str,
+    payload: [(&str, &mut dyn Iterator<Item = (String, Json)>); N],
+) -> String {
+    const { assert!(N > 0, "a sealed document has at least one payload field") };
+    // The payload object the checksum covers, as `Json::render` renders it.
+    let mut doc = String::from("{");
+    for (i, (key, members)) in payload.into_iter().enumerate() {
+        if i > 0 {
+            doc.push(',');
+        }
+        write_key(&mut doc, 1, key);
+        write_obj(&mut doc, 1, members);
+    }
+    doc.push_str("\n}\n");
+    // The document is that object with `schema` and `checksum` as its
+    // first fields.
+    let header = format!(
+        "\n  \"schema\": \"{}\",\n  \"checksum\": \"{}\",",
+        escape(schema),
+        checksum_hex(&doc)
+    );
+    doc.insert_str(1, &header);
+    doc
+}
+
+/// Reads the sealed document at `path`, returning the payload values
+/// named by `keys` (an absent key reads as an empty object). `Ok(None)`
+/// means no file exists. Any other failure is an error naming why the
+/// document was discarded: `unreadable`, `invalid utf-8`,
+/// `malformed json`, `schema mismatch`, `missing checksum` or
+/// `checksum mismatch`.
+///
+/// # Errors
+///
+/// The reason string above; a cache degrades to a cold start on it.
+pub fn read_sealed<const N: usize>(
+    path: &Path,
+    schema: &str,
+    keys: [&str; N],
+) -> Result<Option<[Json; N]>, &'static str> {
+    let bytes = match std::fs::read(path) {
+        Ok(b) => b,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+        Err(_) => return Err("unreadable"),
+    };
+    let text = String::from_utf8(bytes).map_err(|_| "invalid utf-8")?;
+    let mut root = match Json::parse(&text) {
+        Some(root @ Json::Obj(_)) => root,
+        _ => return Err("malformed json"),
+    };
+    if root.get("schema").and_then(Json::as_str) != Some(schema) {
+        return Err("schema mismatch");
+    }
+    let stored = root.get("checksum").and_then(Json::as_str);
+    let stored = stored.ok_or("missing checksum")?.to_string();
+    let payload = keys.map(|key| (key.to_string(), root.take_field(key)));
+    if checksum_hex(&render_obj(&payload)) != stored {
+        return Err("checksum mismatch");
+    }
+    Ok(Some(payload.map(|(_, v)| v)))
+}
+
+/// Writes `text` to `path` through the temp file `tmp` and a `rename`.
+///
+/// # Errors
+///
+/// Returns a message when the temp file cannot be written or renamed.
+pub fn write_atomic(path: &Path, tmp: &Path, text: &str) -> Result<(), String> {
+    std::fs::write(tmp, text)
+        .map_err(|e| format!("cannot write cache temp `{}`: {e}", tmp.display()))?;
+    std::fs::rename(tmp, path).map_err(|e| {
+        let _ = std::fs::remove_file(tmp);
+        format!("cannot commit cache `{}`: {e}", path.display())
+    })
 }
 
 #[cfg(test)]
@@ -160,6 +455,7 @@ mod tests {
     fn escape_handles_specials() {
         assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         assert_eq!(escape("a\u{2}b"), "a\\u0002b");
+        assert_eq!(escape("a\rb\tc"), "a\\rb\\tc");
     }
 
     #[test]
@@ -180,6 +476,114 @@ mod tests {
     fn empty_containers_are_compact() {
         assert_eq!(Json::Arr(vec![]).render(), "[]\n");
         assert_eq!(Json::Obj(vec![]).render(), "{}\n");
+    }
+
+    /// Every character the renderer escapes, plus multi-byte UTF-8.
+    const AWKWARD: &str = "q\"b\\n\nr\rt\t\u{0}\u{1f}\u{7f} é 漢字 🦀";
+
+    #[test]
+    fn parse_inverts_render_on_a_large_document() {
+        let entries: Vec<(String, Json)> = (0..5000u64)
+            .map(|i| {
+                let v = Json::obj([
+                    ("text", Json::str(format!("{AWKWARD} #{i}"))),
+                    ("n", Json::U64(i * 0x9e37_79b9)),
+                    ("flags", Json::Arr(vec![Json::Bool(i % 2 == 0), Json::Null])),
+                    ("empty", Json::obj(Vec::<(String, Json)>::new())),
+                ]);
+                (format!("key {i} {AWKWARD}"), v)
+            })
+            .collect();
+        let doc = Json::obj([
+            ("entries", Json::Obj(entries)),
+            ("max", Json::U64(u64::MAX)),
+        ]);
+        let text = doc.render();
+        assert!(text.len() >= 1 << 20, "{} bytes", text.len());
+        assert_eq!(Json::parse(&text).as_ref(), Some(&doc));
+        let compact = doc.render_compact();
+        assert_eq!(Json::parse(&compact).as_ref(), Some(&doc));
+    }
+
+    #[test]
+    fn parse_rejects_malformed_input() {
+        for bad in [
+            "",
+            "\"unterminated",
+            "{\"a\": \"trunc",
+            "\"\\u12g4\"",
+            "\"\\u12\"",
+            "\"\\ud800\"",
+            "\"\\x\"",
+            "{\"a\" 1}",
+            "[1 2",
+            "-1",
+            "18446744073709551616",
+            "tru",
+            "{} x",
+        ] {
+            assert_eq!(Json::parse(bad), None, "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn parse_reads_commas_as_whitespace() {
+        let v = Json::parse("{\"a\",: 1,, \"b\": [1,,2 3]},").unwrap();
+        assert_eq!(v.get("a").and_then(Json::as_u64), Some(1));
+        assert_eq!(
+            v.get("b"),
+            Some(&Json::Arr(vec![Json::U64(1), Json::U64(2), Json::U64(3)]))
+        );
+        assert_eq!(v.get("c"), None);
+        assert_eq!(
+            Json::parse("\"\\u0041\"").as_ref().and_then(Json::as_str),
+            Some("A")
+        );
+    }
+
+    #[test]
+    fn sealed_documents_round_trip_and_detect_tampering() {
+        let dir = std::env::temp_dir().join(format!("fearless-trace-seal-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("doc.json");
+        assert_eq!(read_sealed(&path, "s/1", ["a"]), Ok(None));
+        let mut a = [("x".to_string(), Json::str(AWKWARD))].into_iter();
+        let mut b = [("y".to_string(), Json::U64(7))].into_iter();
+        let mut empty = std::iter::empty();
+        let text = seal("s/1", [("a", &mut a), ("b", &mut b), ("e", &mut empty)]);
+        // The streamed document is exactly the tree rendering.
+        let payload = [
+            ("a", Json::obj([("x", Json::str(AWKWARD))])),
+            ("b", Json::obj([("y", Json::U64(7))])),
+            ("e", Json::Obj(Vec::new())),
+        ];
+        let checksum = checksum_hex(&Json::obj(payload.clone()).render());
+        let mut tree = vec![
+            ("schema", Json::str("s/1")),
+            ("checksum", Json::str(checksum)),
+        ];
+        tree.extend(payload.clone());
+        assert_eq!(text, Json::obj(tree).render());
+
+        write_atomic(&path, &dir.join("doc.tmp"), &text).unwrap();
+        assert!(!dir.join("doc.tmp").exists());
+        let read = read_sealed(&path, "s/1", ["a", "b", "e"]);
+        assert_eq!(read, Ok(Some(payload.map(|(_, v)| v))));
+        // An absent key reads as an empty object, which the checksum
+        // then covers too.
+        assert_eq!(
+            read_sealed(&path, "s/1", ["a", "b", "e", "c"]),
+            Err("checksum mismatch")
+        );
+        assert_eq!(read_sealed(&path, "s/2", ["a"]), Err("schema mismatch"));
+        std::fs::write(&path, text.replace("\"y\": 7", "\"y\": 8")).unwrap();
+        assert_eq!(
+            read_sealed(&path, "s/1", ["a", "b", "e"]),
+            Err("checksum mismatch")
+        );
+        std::fs::write(&path, "[]").unwrap();
+        assert_eq!(read_sealed(&path, "s/1", ["a"]), Err("malformed json"));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

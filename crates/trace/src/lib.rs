@@ -13,11 +13,12 @@
 //! * [`NoopSink`] — discards everything; used by parity tests to prove
 //!   attaching a sink is observation-only.
 //! * [`Json`] — the hand-rolled JSON tree both the collector and the
-//!   CLI metrics output render through (no external deps, byte-stable).
+//!   CLI metrics output render through (no external deps, byte-stable),
+//!   with its parser and the checksummed cache envelope in [`json`].
 
 #![warn(missing_docs)]
 
-mod json;
+pub mod json;
 mod metrics;
 mod sink;
 
