@@ -228,7 +228,7 @@ pub fn analyze_program(checked: &CheckedProgram) -> Result<AnalysisReport, Strin
     report.stats.vir_steps = checked.derivations.iter().map(|d| d.vir_steps).sum();
 
     redundant::run(checked, &globals, &mut report);
-    annotations::run(checked, &mut report);
+    annotations::run(checked, &globals, &mut report);
     regions::run(checked, &mut report);
     flow_lints::run(checked, &mut report);
 

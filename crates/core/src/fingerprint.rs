@@ -152,6 +152,68 @@ fn body_refs(body: &Expr, callees: &mut BTreeSet<Symbol>, structs: &mut BTreeSet
     });
 }
 
+/// The names a function's [`Fingerprint`] covers besides the function
+/// definition itself and the checker options.
+///
+/// This is the single source of truth for a fingerprint's dependency set:
+/// [`fn_fingerprint`] hashes exactly these signatures and struct
+/// declarations, and FA002's probes in `fearless-analyze` invert it to
+/// find the functions an annotation deletion can re-key.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct FnDeps {
+    /// The function itself and every function it calls directly, sorted.
+    pub sigs: BTreeSet<Symbol>,
+    /// Every struct named in the function's parameter/result types, in
+    /// its body (`new`, `recv`), or in a callee signature, closed
+    /// transitively over field types, sorted.
+    pub structs: BTreeSet<Symbol>,
+}
+
+/// Computes the dependency set of `def` in the environment `globals`.
+///
+/// Only names, not contents: deleting an annotation or flipping an `iso`
+/// flag leaves every function's [`FnDeps`] unchanged.
+pub fn fn_deps(globals: &Globals, def: &FnDef) -> FnDeps {
+    let mut sigs = BTreeSet::new();
+    let mut structs = BTreeSet::new();
+    body_refs(&def.body, &mut sigs, &mut structs);
+    for p in &def.params {
+        type_structs(&p.ty, &mut structs);
+    }
+    type_structs(&def.ret, &mut structs);
+
+    // The own signature is derivable from the definition text, but
+    // hashing the elaborated form guards against elaboration changes.
+    sigs.insert(def.name.clone());
+    for sig in sigs.iter().filter_map(|name| globals.sig(name)) {
+        for ty in sig.param_tys.iter().chain(std::iter::once(&sig.ret)) {
+            type_structs(ty, &mut structs);
+        }
+    }
+
+    // Close over field types.
+    let mut reachable: BTreeSet<Symbol> = BTreeSet::new();
+    let mut queue: VecDeque<Symbol> = structs.into_iter().collect();
+    while let Some(name) = queue.pop_front() {
+        if !reachable.insert(name.clone()) {
+            continue;
+        }
+        if let Some(sdef) = globals.struct_def(&name) {
+            for field in &sdef.fields {
+                if let Some(inner) = field.ty.struct_name() {
+                    if !reachable.contains(inner) {
+                        queue.push_back(inner.clone());
+                    }
+                }
+            }
+        }
+    }
+    FnDeps {
+        sigs,
+        structs: reachable,
+    }
+}
+
 /// Computes the content fingerprint of `def` in the environment
 /// `globals` under `options`.
 ///
@@ -174,54 +236,23 @@ pub fn fn_fingerprint(globals: &Globals, options: &CheckerOptions, def: &FnDef) 
     h.write_str("def");
     h.write_str(&pretty::fn_to_string(def));
 
-    // Collect the name sets the body and signature mention.
-    let mut callees = BTreeSet::new();
-    let mut structs = BTreeSet::new();
-    body_refs(&def.body, &mut callees, &mut structs);
-    for p in &def.params {
-        type_structs(&p.ty, &mut structs);
-    }
-    type_structs(&def.ret, &mut structs);
+    let deps = fn_deps(globals, def);
 
     // 3. The function's own elaborated signature plus every callee's.
-    // (The own signature is derivable from the definition text, but
-    // hashing the elaborated form guards against elaboration changes.)
-    callees.insert(def.name.clone());
     h.write_str("sigs");
-    for name in &callees {
+    for name in &deps.sigs {
         h.write_str(name.as_str());
         match globals.sig(name) {
-            Some(sig) => {
-                h.write_str(&sig_digest(sig));
-                for ty in sig.param_tys.iter().chain(std::iter::once(&sig.ret)) {
-                    type_structs(ty, &mut structs);
-                }
-            }
+            Some(sig) => h.write_str(&sig_digest(sig)),
             None => h.write_str("(absent)"),
         }
     }
 
-    // 4. Reachable structs: close over field types, then hash each
-    // declaration in sorted order. Unknown names hash as absent so that
-    // *adding* a previously missing struct also invalidates.
-    let mut reachable: BTreeSet<Symbol> = BTreeSet::new();
-    let mut queue: VecDeque<Symbol> = structs.into_iter().collect();
-    while let Some(name) = queue.pop_front() {
-        if !reachable.insert(name.clone()) {
-            continue;
-        }
-        if let Some(sdef) = globals.struct_def(&name) {
-            for field in &sdef.fields {
-                if let Some(inner) = field.ty.struct_name() {
-                    if !reachable.contains(inner) {
-                        queue.push_back(inner.clone());
-                    }
-                }
-            }
-        }
-    }
+    // 4. Reachable structs, each declaration in sorted order. Unknown
+    // names hash as absent so that *adding* a previously missing struct
+    // also invalidates.
     h.write_str("structs");
-    for name in &reachable {
+    for name in &deps.structs {
         h.write_str(name.as_str());
         match globals.struct_def(name) {
             Some(sdef) => h.write_str(&pretty::struct_to_string(sdef)),
@@ -311,6 +342,19 @@ mod tests {
         assert_ne!(before[0].1, after[0].1);
         assert_ne!(before[1].1, after[1].1);
         assert_eq!(before[2], after[2], "lone reaches no structs");
+    }
+
+    #[test]
+    fn deps_name_the_hashed_signatures_and_structs() {
+        let program = parse_program(SRC).unwrap();
+        let globals = Globals::build(&program, CheckerOptions::default().mode).unwrap();
+        let names = |set: &BTreeSet<Symbol>| set.iter().map(Symbol::to_string).collect::<Vec<_>>();
+        let twice = fn_deps(&globals, &program.funcs[1]);
+        assert_eq!(names(&twice.sigs), ["get", "twice"]);
+        assert_eq!(names(&twice.structs), ["data", "holder"]);
+        let lone = fn_deps(&globals, &program.funcs[2]);
+        assert_eq!(names(&lone.sigs), ["lone"]);
+        assert!(lone.structs.is_empty());
     }
 
     #[test]

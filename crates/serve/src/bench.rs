@@ -13,7 +13,10 @@
 //! After the main phase, the *shed drill* pauses the workers, sends
 //! `queue_capacity + shed_extra` fresh distinct bodies, and resumes:
 //! exactly `shed_extra` must be answered `overloaded`, which makes the
-//! shed counter deterministic too.
+//! shed counter deterministic too. The drill sends its bodies in index
+//! order, each only once the daemon has counted the one before, so the
+//! admitted set is always the first `queue_capacity` bodies and the
+//! daemon's cache and WAL after a run are deterministic as well.
 //!
 //! The dedupe count is deterministic while the plan has at most
 //! `MEMO_CAPACITY` distinct requests. Past that the memo evicts, and how
@@ -192,6 +195,9 @@ pub fn run_bench(opts: &BenchOptions) -> Result<BenchOutcome, String> {
     }
     let mut drill = Vec::new();
     for i in 0..drill_requests {
+        // In index order: request `i` leaves only after the daemon counted
+        // request `i - 1`, so the first `capacity` bodies are admitted.
+        wait_for_work_requests(&mut control, (n * m + i) as u64)?;
         let socket = opts.socket.clone();
         let body = synth_body(
             opts.seed.wrapping_mul(1009).wrapping_add(10_000 + i as u64),

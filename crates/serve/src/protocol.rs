@@ -405,6 +405,17 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_body_is_malformed() {
+        // The JSON parser bounds its recursion, so a frame of `[` is a
+        // malformed request rather than a stack overflow in the daemon.
+        let brackets = "[".repeat(200 * 1024);
+        assert_eq!(
+            parse_request(brackets.as_bytes()).unwrap_err().0,
+            codes::MALFORMED
+        );
+    }
+
+    #[test]
     fn request_parsing_maps_failures_to_distinct_codes() {
         assert_eq!(
             parse_request(&[0xff, 0xfe]).unwrap_err().0,

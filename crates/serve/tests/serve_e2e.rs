@@ -5,7 +5,7 @@ use std::path::PathBuf;
 
 use fearless_incr::disk::{DiskCache, LoadOutcome};
 use fearless_serve::bench::{run_bench, BenchOptions};
-use fearless_serve::client::{self_test, Client, SMOKE_PROGRAM};
+use fearless_serve::client::{self_test, stat_counter, Client, SMOKE_PROGRAM};
 use fearless_serve::protocol::codes;
 use fearless_serve::server::{ServeOptions, Server, MEMO_CAPACITY};
 use fearless_trace::Json;
@@ -37,6 +37,26 @@ fn self_test_exercises_the_whole_protocol() {
             "missing `{probe}`:\n{transcript}"
         );
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_deeply_nested_frame_is_refused_and_the_daemon_keeps_serving() {
+    let dir = scratch("nested");
+    let socket = dir.join("serve.sock");
+    let spawned = Server::spawn(ServeOptions::new(&socket)).expect("spawn");
+    let mut c = Client::connect(&socket).expect("connect");
+    let r = c
+        .request_raw("[".repeat(200 * 1024).as_bytes())
+        .expect("nested frame answered");
+    assert_eq!(r.code, codes::MALFORMED, "{}", r.output);
+
+    let mut c = Client::connect(&socket).expect("reconnect");
+    let r = c.request("check", SMOKE_PROGRAM).expect("check");
+    assert_eq!(r.code, codes::OK, "{}", r.output);
+    let r = c.request("shutdown", "").expect("shutdown");
+    assert_eq!(r.code, codes::OK);
+    spawned.shutdown_and_join().expect("join");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -211,6 +231,63 @@ fn serve_bench_is_deterministic_across_runs() {
     assert_eq!(r.code, codes::OK);
     spawned.shutdown_and_join().expect("join");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Runs one bench (default seed) against a fresh daemon over a fresh
+/// cache directory and returns what it leaves behind: the daemon's cache entries after
+/// the run, and the WAL records a daemon restarted over a crash-time copy
+/// of that directory replays.
+fn bench_leftovers(tag: &str) -> (u64, u64) {
+    let dir = scratch(tag);
+    let socket = dir.join("serve.sock");
+    let cache_dir = dir.join("cache");
+    let crash_dir = dir.join("cache-at-crash");
+    let mut sopts = ServeOptions::new(&socket);
+    sopts.workers = 2;
+    sopts.queue_capacity = 4;
+    sopts.cache_dir = Some(cache_dir.clone());
+    let spawned = Server::spawn(sopts).expect("spawn");
+    let mut bopts = BenchOptions::new(&socket);
+    bopts.clients = 3;
+    bopts.requests = 4;
+    bopts.bodies = 3;
+    run_bench(&bopts).expect("bench run");
+
+    let mut c = Client::connect(&socket).expect("connect");
+    let stats = c.request("stats", "").expect("stats").output;
+    let cache_entries = stat_counter(&stats, "cache_entries");
+    std::fs::create_dir_all(&crash_dir).unwrap();
+    for entry in std::fs::read_dir(&cache_dir).unwrap() {
+        let entry = entry.unwrap();
+        std::fs::copy(entry.path(), crash_dir.join(entry.file_name())).unwrap();
+    }
+    let r = c.request("shutdown", "").expect("shutdown");
+    assert_eq!(r.code, codes::OK);
+    spawned.shutdown_and_join().expect("join");
+
+    let socket_b = dir.join("serve-b.sock");
+    let mut opts = ServeOptions::new(&socket_b);
+    opts.cache_dir = Some(crash_dir);
+    let spawned = Server::spawn(opts).expect("respawn");
+    let mut c = Client::connect(&socket_b).expect("reconnect");
+    let stats = c.request("stats", "").expect("stats").output;
+    let wal_replayed = stat_counter(&stats, "wal_replayed");
+    let r = c.request("shutdown", "").expect("shutdown 2");
+    assert_eq!(r.code, codes::OK);
+    spawned.shutdown_and_join().expect("join 2");
+    let _ = std::fs::remove_dir_all(&dir);
+    (cache_entries, wal_replayed)
+}
+
+#[test]
+fn serve_bench_leaves_the_same_cache_and_wal_on_every_run() {
+    // The shed drill admits the first `queue_capacity` of its bodies on
+    // every run, so the cache and WAL contents do not depend on which
+    // drill request reached the daemon first.
+    let one = bench_leftovers("leftovers-1");
+    let two = bench_leftovers("leftovers-2");
+    assert!(one.0 > 0 && one.1 > 0, "{one:?}");
+    assert_eq!(one, two, "(cache_entries, wal_replayed)");
 }
 
 #[test]

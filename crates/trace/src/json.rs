@@ -62,9 +62,16 @@ impl Json {
     /// Parses the JSON subset [`Json::render`] and [`Json::render_compact`]
     /// emit: objects, arrays, strings with the renderer's escapes,
     /// unsigned integers, booleans and null. Commas are read as
-    /// whitespace. Returns `None` on any malformed input.
+    /// whitespace. Returns `None` on any malformed input, and on input
+    /// that nests more than [`MAX_DEPTH`] arrays and objects — the parser
+    /// recurses once per level, so unbounded nesting (a frame of `[`s)
+    /// would otherwise overflow the stack.
     pub fn parse(text: &str) -> Option<Json> {
-        let mut p = Parser { text, pos: 0 };
+        let mut p = Parser {
+            text,
+            pos: 0,
+            depth: 0,
+        };
         let v = p.value()?;
         p.skip_ws();
         (p.pos == text.len()).then_some(v)
@@ -243,10 +250,18 @@ fn render_obj(fields: &[(String, Json)]) -> String {
     out
 }
 
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts.
+/// The documents the workspace writes (traces, BENCH files, caches,
+/// journals, serve frames) nest at most 7 levels, so 128 rejects only
+/// hostile or corrupt input.
+pub const MAX_DEPTH: usize = 128;
+
 /// A cursor over the text [`Json::parse`] reads.
 struct Parser<'a> {
     text: &'a str,
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -271,40 +286,19 @@ impl Parser<'_> {
     fn value(&mut self) -> Option<Json> {
         self.skip_ws();
         match self.peek()? {
-            b'{' => {
-                self.pos += 1;
-                let mut fields = Vec::new();
-                loop {
-                    self.skip_ws();
-                    match self.peek()? {
-                        b'}' => {
-                            self.pos += 1;
-                            return Some(Json::Obj(fields));
-                        }
-                        b'"' => {
-                            let key = self.string()?;
-                            self.skip_ws();
-                            if self.peek()? != b':' {
-                                return None;
-                            }
-                            self.pos += 1;
-                            fields.push((key, self.value()?));
-                        }
-                        _ => return None,
-                    }
+            open @ (b'{' | b'[') => {
+                if self.depth == MAX_DEPTH {
+                    return None;
                 }
-            }
-            b'[' => {
                 self.pos += 1;
-                let mut items = Vec::new();
-                loop {
-                    self.skip_ws();
-                    if self.peek()? == b']' {
-                        self.pos += 1;
-                        return Some(Json::Arr(items));
-                    }
-                    items.push(self.value()?);
-                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
             }
             b'"' => self.string().map(Json::Str),
             b't' => self.keyword("true", Json::Bool(true)),
@@ -317,6 +311,43 @@ impl Parser<'_> {
                 self.text[start..self.pos].parse().ok().map(Json::U64)
             }
             _ => None,
+        }
+    }
+
+    /// Reads object members after the opening `{`, through the `}`.
+    fn object(&mut self) -> Option<Json> {
+        let mut fields = Vec::new();
+        loop {
+            self.skip_ws();
+            match self.peek()? {
+                b'}' => {
+                    self.pos += 1;
+                    return Some(Json::Obj(fields));
+                }
+                b'"' => {
+                    let key = self.string()?;
+                    self.skip_ws();
+                    if self.peek()? != b':' {
+                        return None;
+                    }
+                    self.pos += 1;
+                    fields.push((key, self.value()?));
+                }
+                _ => return None,
+            }
+        }
+    }
+
+    /// Reads array items after the opening `[`, through the `]`.
+    fn array(&mut self) -> Option<Json> {
+        let mut items = Vec::new();
+        loop {
+            self.skip_ws();
+            if self.peek()? == b']' {
+                self.pos += 1;
+                return Some(Json::Arr(items));
+            }
+            items.push(self.value()?);
         }
     }
 
@@ -524,6 +555,32 @@ mod tests {
         ] {
             assert_eq!(Json::parse(bad), None, "{bad:?}");
         }
+    }
+
+    #[test]
+    fn parse_bounds_nesting_depth() {
+        let nested = |levels: usize| {
+            let mut v = Json::U64(7);
+            for i in 0..levels {
+                v = if i % 2 == 0 {
+                    Json::Arr(vec![v])
+                } else {
+                    Json::obj([("k", v)])
+                };
+            }
+            v
+        };
+        let at_limit = nested(MAX_DEPTH);
+        assert_eq!(Json::parse(&at_limit.render()).as_ref(), Some(&at_limit));
+        assert_eq!(
+            Json::parse(&at_limit.render_compact()).as_ref(),
+            Some(&at_limit)
+        );
+        assert_eq!(Json::parse(&nested(MAX_DEPTH + 1).render()), None);
+        // One 200 KB frame of `[` is refused, not a stack overflow.
+        assert_eq!(Json::parse(&"[".repeat(200 * 1024)), None);
+        let balanced = format!("{}{}", "[".repeat(200 * 1024), "]".repeat(200 * 1024));
+        assert_eq!(Json::parse(&balanced), None);
     }
 
     #[test]

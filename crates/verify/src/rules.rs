@@ -15,7 +15,7 @@ pub(crate) struct Cx<'a> {
     pub globals: &'a Globals,
     pub def: &'a FnDef,
     pub derivation: &'a Derivation,
-    pub exprs: HashMap<ExprId, Expr>,
+    pub exprs: HashMap<ExprId, &'a Expr>,
     pub mode: fearless_core::CheckerMode,
     pub report: VerifyReport,
 }
@@ -51,10 +51,11 @@ impl<'a> Cx<'a> {
         VerifyError::new(self.def.name.as_str(), node, msg)
     }
 
-    fn expr(&self, node_idx: usize, id: Option<ExprId>) -> Result<&Expr, VerifyError> {
+    fn expr(&self, node_idx: usize, id: Option<ExprId>) -> Result<&'a Expr, VerifyError> {
         let id = id.ok_or_else(|| self.err(Some(node_idx), "rule node without expression"))?;
         self.exprs
             .get(&id)
+            .copied()
             .ok_or_else(|| self.err(Some(node_idx), format!("unknown expression {id}")))
     }
 
@@ -306,7 +307,7 @@ impl<'a> Cx<'a> {
     #[allow(clippy::too_many_lines)]
     fn verify_rule(&mut self, idx: usize) -> Result<(), VerifyError> {
         let node = self.node(idx)?;
-        let e = self.expr(idx, node.expr)?.clone();
+        let e = self.expr(idx, node.expr)?;
         let result = node
             .result
             .clone()
@@ -492,8 +493,8 @@ impl<'a> Cx<'a> {
                 }
                 self.same(idx, result.ty == Type::Unit, "assignment yields unit")
             }
-            Rule::IsoAssignField => self.verify_iso_assign(idx, &e, &input, &output, &result),
-            Rule::Take => self.verify_take(idx, &e, &input, &output, &result),
+            Rule::IsoAssignField => self.verify_iso_assign(idx, e, &input, &output, &result),
+            Rule::Take => self.verify_take(idx, e, &input, &output, &result),
             Rule::Let => {
                 let ExprKind::Let { var, init, body } = &e.kind else {
                     return Err(self.err(Some(idx), "expected let"));
@@ -661,7 +662,7 @@ impl<'a> Cx<'a> {
                 self.same(idx, eq_states(&c, &output), "loop exit state mismatch")?;
                 self.same(idx, result.ty == Type::Unit, "while yields unit")
             }
-            Rule::New => self.verify_new(idx, &e, &input, &output, &result),
+            Rule::New => self.verify_new(idx, e, &input, &output, &result),
             Rule::SomeOf => {
                 let ExprKind::SomeOf(inner) = &e.kind else {
                     return Err(self.err(Some(idx), "expected some"));
@@ -706,7 +707,7 @@ impl<'a> Cx<'a> {
                 self.same(idx, eq_states(&end, &output), "output mismatch")?;
                 self.same(idx, result.region.is_none(), "operators yield value types")
             }
-            Rule::Call => self.verify_call(idx, &e, &input, &output, &result),
+            Rule::Call => self.verify_call(idx, e, &input, &output, &result),
             Rule::Send => {
                 let ExprKind::Send(inner) = &e.kind else {
                     return Err(self.err(Some(idx), "expected send"));
